@@ -37,6 +37,11 @@
 //!   to the in-process sequential CSV — the pool never shrank and the
 //!   chaos left no residue.
 //!
+//! A **fresh-ping** phase times [`FRESH_PINGS`] pings, each on a new
+//! connection, from connect to `pong` — the server's fixed cost per
+//! connection (accept, reader hand-off, first response), reported as
+//! p50/p99.
+//!
 //! The run fails on the spot if a warm response's winner columns
 //! diverge from the cold response, or an edited response's from the
 //! scratch response — the reuse-is-invisible claims, checked over the
@@ -45,14 +50,17 @@
 //!
 //! ```text
 //! cargo run --release -p lycos_bench --bin bench_serve \
-//!     [-- --check-speedup 2 --check-edited 1.5] > BENCH_serve.json
+//!     [-- --check-speedup 2 --check-edited 1.5 --check-fresh-ping-p99 10] \
+//!     > BENCH_serve.json
 //! ```
 //!
 //! `--check-speedup X` exits non-zero when the warm request is not at
 //! least `X` times faster than the cold one (CI gates at 2);
 //! `--check-edited X` does the same for the edited request against
 //! the from-scratch build of the same mutated program (CI gates at
-//! 1.5). `LYCOS_BENCH_QUICK` drops to one trial and fewer warm
+//! 1.5); `--check-fresh-ping-p99 MS` exits non-zero when the
+//! fresh-connection ping p99 exceeds `MS` milliseconds (CI gates at
+//! 10). `LYCOS_BENCH_QUICK` drops to one trial and fewer warm
 //! repeats (CI's perf-smoke mode); the requests themselves are never
 //! reduced — the cold/warm phases always run the full bounded eigen
 //! sweep and the edited phases its truncated interactive variant,
@@ -75,6 +83,9 @@ const DEADLINE_MS: u64 = 25;
 /// (frontend compile, allocation, partition replays, the wire), which
 /// the in-process gate deliberately excludes.
 const WIRE_DEADLINE_MS: u64 = 50;
+
+/// Pings of the fresh-connection phase, each on its own connection.
+const FRESH_PINGS: usize = 200;
 
 /// CSV columns that identify the winner (name, budget, times, speedup
 /// fractions, space size, truncated) as opposed to effort telemetry
@@ -159,6 +170,28 @@ fn json_num(x: f64) -> String {
     }
 }
 
+/// The nearest-rank `q`-quantile of `samples` (sorted in place).
+fn percentile(samples: &mut [f64], q: f64) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    let rank = (q * samples.len() as f64).ceil() as usize;
+    samples[rank.clamp(1, samples.len()) - 1]
+}
+
+/// Wall milliseconds of [`FRESH_PINGS`] pings, each on a new
+/// connection: connect, send `ping`, read `pong`.
+fn fresh_ping_ms(addr: &str) -> Vec<f64> {
+    (0..FRESH_PINGS)
+        .map(|_| {
+            let started = Instant::now();
+            let mut client = Client::connect(addr).expect("connect");
+            let response = client.send(&Request::Ping).expect("send ping");
+            let ms = started.elapsed().as_secs_f64() * 1_000.0;
+            assert_eq!(response, Response::Pong, "ping answered {response:?}");
+            ms
+        })
+        .collect()
+}
+
 /// Exits non-zero when `actual` misses the `min` gate.
 fn gate(label: &str, actual: f64, min: Option<f64>) {
     let Some(min) = min else { return };
@@ -172,15 +205,17 @@ fn gate(label: &str, actual: f64, min: Option<f64>) {
 fn main() {
     let mut check_speedup: Option<f64> = None;
     let mut check_edited: Option<f64> = None;
+    let mut check_fresh_ping: Option<f64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let flag = arg.as_str();
         match flag {
-            "--check-speedup" | "--check-edited" => {
+            "--check-speedup" | "--check-edited" | "--check-fresh-ping-p99" => {
                 let v = args.next().and_then(|s| s.parse::<f64>().ok());
                 match (flag, v) {
                     ("--check-speedup", Some(v)) => check_speedup = Some(v),
                     ("--check-edited", Some(v)) => check_edited = Some(v),
+                    ("--check-fresh-ping-p99", Some(v)) => check_fresh_ping = Some(v),
                     _ => {
                         eprintln!("bench_serve: {flag} needs a number");
                         std::process::exit(2);
@@ -190,7 +225,8 @@ fn main() {
             other => {
                 eprintln!(
                     "bench_serve: unknown argument `{other}` \
-                     (expected --check-speedup <x> / --check-edited <x>)"
+                     (expected --check-speedup <x> / --check-edited <x> / \
+                     --check-fresh-ping-p99 <ms>)"
                 );
                 std::process::exit(2);
             }
@@ -542,6 +578,17 @@ fn main() {
          clean batches stayed byte-identical"
     );
 
+    // Fresh pings: a fresh server's fixed cost per connection.
+    let (addr, handle) = spawn_server(defaults.clone());
+    let mut pings = fresh_ping_ms(&addr);
+    shutdown(&addr, handle);
+    let ping_p50 = percentile(&mut pings, 0.50);
+    let ping_p99 = percentile(&mut pings, 0.99);
+    eprintln!(
+        "[bench_serve] fresh-connection ping: p50 {ping_p50:.3} ms, p99 {ping_p99:.3} ms \
+         over {FRESH_PINGS} connections"
+    );
+
     let speedup = cold_seconds / warm_seconds.max(f64::EPSILON);
     let edited_speedup = scratch_seconds / edited_seconds.max(f64::EPSILON);
     let hit_ratio = hits as f64 / (hits + misses).max(1) as f64;
@@ -555,7 +602,7 @@ fn main() {
     );
 
     print!(
-        "{{\n  \"schema\": \"lycos-bench-serve/3\",\n  \"app\": \"eigen\",\n  \
+        "{{\n  \"schema\": \"lycos-bench-serve/4\",\n  \"app\": \"eigen\",\n  \
          \"request\": \"{REQUEST_LINE}\",\n  \"cold_seconds\": {},\n  \
          \"warm_seconds\": {},\n  \"speedup\": {},\n  \"edited\": {{\n    \
          \"scratch_seconds\": {},\n    \"edited_seconds\": {},\n    \
@@ -564,7 +611,9 @@ fn main() {
          \"search_deadline_ms\": {DEADLINE_MS},\n    \"search_wall_seconds\": {},\n    \
          \"wire_deadline_ms\": {WIRE_DEADLINE_MS},\n    \"wire_wall_seconds\": {},\n    \
          \"completion\": \"{completion}\"\n  }},\n  \"soak\": {{\n    \
-         \"panics\": {soak_panics}\n  }},\n  \"store\": {{\n    \
+         \"panics\": {soak_panics}\n  }},\n  \"fresh_ping\": {{\n    \
+         \"pings\": {FRESH_PINGS},\n    \"p50_ms\": {},\n    \"p99_ms\": {}\n  }},\n  \
+         \"store\": {{\n    \
          \"hits\": {hits},\n    \"misses\": {misses},\n    \"evictions\": {evictions},\n    \
          \"hit_ratio\": {}\n  }}\n}}\n",
         json_num(cold_seconds),
@@ -575,9 +624,22 @@ fn main() {
         json_num(edited_speedup),
         json_num(search_wall),
         json_num(deadline_wall),
+        json_num(ping_p50),
+        json_num(ping_p99),
         json_num(hit_ratio),
     );
 
     gate("eigen warm request", speedup, check_speedup);
     gate("eigen edited request", edited_speedup, check_edited);
+    if let Some(max) = check_fresh_ping {
+        if ping_p99 > max {
+            eprintln!(
+                "bench_serve: fresh-connection ping p99 {ping_p99:.3} ms is over the {max} ms gate"
+            );
+            std::process::exit(1);
+        }
+        eprintln!(
+            "bench_serve: fresh-connection ping p99 {ping_p99:.3} ms meets the {max} ms gate"
+        );
+    }
 }

@@ -7,12 +7,13 @@
 //! `table1` bin uses, so service output is byte-identical to
 //! `table1 --csv --stable` for the same jobs and search options.
 //!
-//! The server is std-only: a non-blocking [`std::net::TcpListener`]
-//! accept loop, a bounded [`std::sync::mpsc::sync_channel`] of
-//! accepted connections, and a scoped-thread worker pool (the PR 2
-//! search fan-out idiom, kept resident). A full queue answers `busy`
-//! instead of growing without bound; a `shutdown` request drains the
-//! queue and joins every worker before [`Server::run`] returns.
+//! The server is std-only: a blocking [`std::net::TcpListener`]
+//! accept loop, one reader thread per connection that answers the
+//! cheap verbs itself, a bounded [`std::sync::mpsc::sync_channel`] of
+//! search jobs, and a scoped-thread worker pool that runs them. A full
+//! job queue answers `busy` instead of growing without bound; a
+//! `shutdown` request lets queued jobs answer and joins every thread
+//! before [`Server::run`] returns.
 //!
 //! ```no_run
 //! use lycos_serve::{Client, Request, ServeConfig, Server};
@@ -42,7 +43,7 @@ pub use client::Client;
 pub use protocol::{
     Format, Job, JobSource, ProtocolError, Request, Response, Table1Request, DEFAULT_ADDR,
 };
-pub use server::{ServeConfig, Server, STATS_CSV_HEADER};
+pub use server::{ServeConfig, Server, CONNECTIONS_PER_WORKER, STATS_CSV_HEADER};
 
 use std::fmt;
 

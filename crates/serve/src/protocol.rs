@@ -460,7 +460,8 @@ pub enum Response {
     Ok(Vec<String>),
     /// The request failed; the message travels percent-encoded.
     Error(String),
-    /// Backpressure: the server's queue is full; retry later.
+    /// Backpressure: the server's job queue (or its open-connection
+    /// cap) is full; retry later.
     Busy(String),
     /// Answer to [`Request::Ping`].
     Pong,

@@ -1,25 +1,37 @@
-//! The allocation server: a bounded pool of worker threads over a
-//! [`TcpListener`], fed by a rendezvous/backlog channel.
+//! The allocation server: a blocking acceptor, one reader thread per
+//! connection, and a bounded pool of worker threads fed by a job queue.
 //!
-//! Architecture (the PR 2 fan-out idiom, kept resident):
+//! Architecture:
 //!
-//! * the **acceptor** (the thread that called [`Server::run`]) polls a
-//!   non-blocking listener and hands each accepted connection to the
-//!   pool through a bounded [`mpsc::sync_channel`];
-//! * `workers` **scoped threads** each pull one connection at a time
-//!   and answer its requests in order — every request builds fresh
-//!   [`lycos::Pipeline`] values; the only state requests share is the
-//!   server's [`ArtifactStore`] (one per server, thread-safe), which
-//!   caches per-application search precompute across requests and
-//!   connections and warm-starts repeat `bound` searches. Results are
-//!   field-identical warm or cold; the `stats` verb reports the
-//!   store's hit/miss/eviction counters;
-//! * when the channel is full the acceptor answers
-//!   [`Response::Busy`] immediately and closes — **backpressure**
-//!   instead of unbounded queueing;
-//! * a `shutdown` request flips one flag: the acceptor stops, the
-//!   channel closes, workers drain what was already queued and join —
-//!   **graceful shutdown** with no request dropped mid-flight.
+//! * the **acceptor** (the thread that called [`Server::run`]) blocks
+//!   in `accept()` and gives each connection its own scoped **reader**
+//!   thread, up to [`CONNECTIONS_PER_WORKER`] connections per worker;
+//!   past that cap it answers [`Response::Busy`] and closes;
+//! * a **reader** frames its connection's request lines and answers
+//!   the cheap verbs itself — `ping`, `stats`, `cancel`, `shutdown` and
+//!   malformed lines — so they never wait for a worker, however busy
+//!   the pool is or however many idle keep-alive peers are connected;
+//! * a `table1`/`pareto` request becomes a **job** on a bounded
+//!   [`mpsc::sync_channel`]. Its reader waits for the answer and
+//!   writes answers in request order. While the job runs the reader
+//!   keeps reading the socket into its own buffer (a pipelined request
+//!   waits there for its turn), and a peer that hangs up flips the
+//!   job's cancel flag so the search stops at its next poll;
+//! * `workers` **scoped threads** each pull one job at a time — every
+//!   job builds fresh [`lycos::Pipeline`] values; the only state jobs
+//!   share is the server's [`ArtifactStore`] (one per server,
+//!   thread-safe), which caches per-application search precompute
+//!   across requests and connections and warm-starts repeat `bound`
+//!   searches. Results are field-identical warm or cold; the `stats`
+//!   verb reports the store's hit/miss/eviction counters;
+//! * when the job queue is full the reader answers [`Response::Busy`]
+//!   at once and keeps the connection — **backpressure** instead of
+//!   unbounded queueing;
+//! * a `shutdown` request flips one flag and wakes the acceptor with a
+//!   connection of its own: the acceptor stops, idle readers leave at
+//!   their next read tick, queued jobs still run and answer, and the
+//!   workers join once the last reader has gone — **graceful
+//!   shutdown** with no request dropped mid-flight.
 
 use crate::protocol::{
     Format, Job, JobSource, ParetoRequest, Request, Response, Table1Request, DEFAULT_ADDR,
@@ -35,48 +47,66 @@ use lycos::Pipeline;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, TrySendError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How often blocked reads and the acceptor poll re-check the
-/// shutdown flag.
-const POLL: Duration = Duration::from_millis(50);
+/// The read-timeout tick of a reader's socket. An idle reader wakes
+/// this often to see whether the server is draining, and a reader
+/// whose job is running checks this often whether its peer hung up.
+/// It bounds how long shutdown waits for idle keep-alive peers; no
+/// request ever waits on it.
+const READ_TICK: Duration = Duration::from_millis(50);
 
 /// Upper bound on one blocking response write. A peer that stops
 /// reading its responses hits this, fails the connection, and frees
-/// the worker — instead of pinning it (and stalling shutdown) forever.
+/// its reader — instead of pinning it (and stalling shutdown) forever.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Open connections allowed per worker; past `workers ×` this, the
+/// acceptor answers `busy` and closes. Each connection costs one
+/// reader thread, so this bounds the threads a crowd of idle peers can
+/// make the server hold, while leaving room for far more keep-alive
+/// clients than workers.
+pub const CONNECTIONS_PER_WORKER: usize = 64;
+
+/// How long a connection refused at the cap may keep sending before
+/// the acceptor closes it: long enough for a request that crosses the
+/// `busy` line in flight to be read, so the close does not reset the
+/// connection and destroy the answer before the client reads it.
+const BUSY_LINGER: Duration = Duration::from_millis(100);
 
 /// Configuration of one [`Server`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Listen address (`host:port`; port `0` picks a free port).
     pub addr: String,
-    /// Worker threads — the number of connections served concurrently.
+    /// Worker threads — the number of `table1`/`pareto` jobs run
+    /// concurrently. Connections are not counted: each has its own
+    /// reader, and the cheap verbs never take a worker.
     pub workers: usize,
-    /// Accepted connections that may wait for a free worker before
-    /// the server answers `busy` (0 = hand-offs only).
+    /// Jobs that may wait for a free worker before a further job is
+    /// answered `busy` (0 = hand-offs only). Counts jobs, not
+    /// connections.
     pub queue: usize,
     /// Search knobs applied when a request leaves them unset.
     pub defaults: SearchOptions,
     /// How long a *partial* request line may stall before the server
     /// answers `err slow-request` and closes. An idle peer between
     /// requests is normal keep-alive and never times out; a peer that
-    /// goes silent mid-line would otherwise pin a worker forever.
+    /// goes silent mid-line would otherwise pin its reader forever.
     pub read_timeout: Duration,
     /// Allocation-space size (pre-walk, [`lycos::pace::space_size`])
     /// above which a job is *big* for admission control. At most
     /// [`big_jobs`](ServeConfig::big_jobs) big jobs run concurrently,
-    /// so capacity always stays free for pings, stats and small jobs
-    /// (the fast lane).
+    /// so workers always stay free for small jobs.
     pub big_job_threshold: u128,
     /// Concurrent big-job slots on the admission gate. `0` (the
     /// default) means *auto*: `workers - 1`, floored at one, so one
-    /// worker always stays free for the fast lane.
+    /// worker always stays free for small jobs.
     pub big_jobs: usize,
     /// Test hook: when set, a job naming the app `__panic` panics
     /// inside the worker, exercising the panic-isolation path.
@@ -111,15 +141,14 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the configured address. The listener is non-blocking so
-    /// the accept loop can watch the shutdown flag.
+    /// Binds the configured address. The listener blocks in `accept`;
+    /// the `shutdown` verb wakes it by connecting to it.
     ///
     /// # Errors
     ///
     /// [`ServeError::Io`] if the address cannot be bound.
     pub fn bind(config: ServeConfig) -> Result<Server, ServeError> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         Ok(Server { listener, config })
     }
 
@@ -137,8 +166,8 @@ impl Server {
         &self.config
     }
 
-    /// Serves until a `shutdown` request arrives, then drains queued
-    /// connections, joins every worker and returns.
+    /// Serves until a `shutdown` request arrives, then lets queued
+    /// jobs answer, joins every reader and worker and returns.
     ///
     /// # Errors
     ///
@@ -147,11 +176,12 @@ impl Server {
     pub fn run(self) -> Result<(), ServeError> {
         let Server { listener, config } = self;
         let workers = config.workers.max(1);
+        let connection_cap = CONNECTIONS_PER_WORKER * workers;
         let shutdown = AtomicBool::new(false);
         // One artifact store per server, shared by every worker and
         // connection: the cross-request cache the seam exists for.
         let store = Arc::new(ArtifactStore::new(config.defaults.store_cap));
-        let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.queue);
+        let (tx, rx) = mpsc::sync_channel::<SearchJob>(config.queue);
         let rx = Mutex::new(rx);
         let panics = AtomicU64::new(0);
         let registry = JobRegistry::default();
@@ -160,6 +190,8 @@ impl Server {
             n => n,
         };
         let gate = AdmissionGate::new(big_jobs);
+        let open = AtomicUsize::new(0);
+        let wake = wake_addr(listener.local_addr()?);
 
         std::thread::scope(|scope| {
             let ctx = ServerCtx {
@@ -169,59 +201,84 @@ impl Server {
                 panics: &panics,
                 registry: &registry,
                 gate: &gate,
+                wake,
             };
             let rx = &rx;
             for _ in 0..workers {
                 scope.spawn(move || worker_loop(rx, ctx));
             }
             loop {
-                if shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        // Responses are written line-wise; let them go
-                        // out as produced instead of parking behind
-                        // Nagle for the client's delayed ACK.
-                        let _ = stream.set_nodelay(true);
-                        match tx.try_send(stream) {
-                            Ok(()) => {}
-                            Err(TrySendError::Full(stream)) => {
-                                reject_busy(stream, workers, config.queue);
-                            }
-                            Err(TrySendError::Disconnected(_)) => break,
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL);
-                    }
-                    Err(e) => {
-                        // Transient per-connection failures (reset
-                        // during accept) are not fatal to the server.
+                let stream = match listener.accept() {
+                    Ok((stream, _)) => stream,
+                    // Transient per-connection failures (reset during
+                    // accept) are not fatal to the server.
+                    Err(e)
                         if e.kind() == std::io::ErrorKind::ConnectionAborted
                             || e.kind() == std::io::ErrorKind::ConnectionReset
-                            || e.kind() == std::io::ErrorKind::Interrupted
-                        {
-                            continue;
-                        }
-                        shutdown.store(true, Ordering::Release);
+                            || e.kind() == std::io::ErrorKind::Interrupted =>
+                    {
+                        continue;
+                    }
+                    Err(e) => {
+                        ctx.stop_serving();
                         drop(tx);
                         return Err(ServeError::Io(e));
                     }
+                };
+                // The `shutdown` verb's wake-up lands here too.
+                if shutdown.load(Ordering::Acquire) {
+                    break;
                 }
+                // Responses are written line-wise; let them go out as
+                // produced instead of parking behind Nagle for the
+                // client's delayed ACK.
+                let _ = stream.set_nodelay(true);
+                if open.load(Ordering::Relaxed) >= connection_cap {
+                    reject_busy(stream, connection_cap);
+                    continue;
+                }
+                open.fetch_add(1, Ordering::Relaxed);
+                let slot = OpenSlot(&open);
+                let jobs = tx.clone();
+                // A failed spawn drops the closure, and with it the
+                // stream and the slot: that connection just closes.
+                let _ = std::thread::Builder::new().spawn_scoped(scope, move || {
+                    let _slot = slot;
+                    // A panic in a reader must not reach the scope,
+                    // which would re-raise it out of run().
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        let _ = serve_connection(stream, &jobs, ctx);
+                    }));
+                    if outcome.is_err() {
+                        ctx.panics.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
             }
-            // Close the channel: workers finish queued connections,
-            // then their recv() errors and they exit; scope joins.
+            // Close the acceptor's end of the job queue: once the last
+            // reader has left too, workers see the channel close after
+            // the queued jobs and exit; the scope joins everyone.
             drop(tx);
             Ok(())
         })
     }
 }
 
-/// The per-server state every worker shares: configuration, the
-/// artifact store, the shutdown flag, the panic counter, the running-
-/// job registry the `cancel` verb consults, and the big-job admission
-/// gate.
+/// The address the `shutdown` verb connects to so the blocked acceptor
+/// wakes: the bound address, with an unspecified host (`0.0.0.0`,
+/// `[::]`) mapped to loopback of the same family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// The per-server state every reader and worker shares: configuration,
+/// the artifact store, the shutdown flag, the panic counter, the job
+/// registry the `cancel` verb consults, the big-job admission gate and
+/// the address that wakes the acceptor.
 #[derive(Clone, Copy)]
 struct ServerCtx<'a> {
     config: &'a ServeConfig,
@@ -230,11 +287,48 @@ struct ServerCtx<'a> {
     panics: &'a AtomicU64,
     registry: &'a JobRegistry,
     gate: &'a AdmissionGate,
+    wake: SocketAddr,
 }
 
-/// The running jobs a `cancel <id>` can reach, keyed by the client-
-/// chosen `job=` id. Entries are RAII-removed when the job answers,
-/// so a stale id cancels nothing.
+impl ServerCtx<'_> {
+    /// Flips the shutdown flag and releases jobs parked on the
+    /// admission gate (they answer `busy` rather than wait into a
+    /// draining server).
+    fn stop_serving(&self) {
+        self.shutdown.store(true, Ordering::Release);
+        self.gate.wake_all();
+    }
+}
+
+/// Keeps one place in the open-connection count until its reader
+/// leaves.
+struct OpenSlot<'a>(&'a AtomicUsize);
+
+impl Drop for OpenSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// A search request on its way to a worker.
+enum Search {
+    Table1(Table1Request),
+    Pareto(ParetoRequest),
+}
+
+/// One queued job: the request, its resolved search options, the stop
+/// signal started when its request line arrived, and where the answer
+/// goes.
+struct SearchJob {
+    search: Search,
+    options: SearchOptions,
+    stop: StopSignal,
+    answer: SyncSender<Response>,
+}
+
+/// The jobs a `cancel <id>` can reach, keyed by the client-chosen
+/// `job=` id, from receipt of the request until its answer. Entries
+/// are RAII-removed, so a stale id cancels nothing.
 #[derive(Default)]
 struct JobRegistry {
     jobs: Mutex<HashMap<u64, Arc<AtomicBool>>>,
@@ -285,7 +379,7 @@ impl Drop for JobGuard<'_> {
 
 /// Caps how many *big* jobs (allocation space above
 /// [`ServeConfig::big_job_threshold`]) run concurrently, so small
-/// jobs, pings and `stats` always find a worker promptly.
+/// jobs always find a worker promptly.
 struct AdmissionGate {
     running: Mutex<usize>,
     freed: Condvar,
@@ -315,10 +409,17 @@ impl AdmissionGate {
             }
             running = self
                 .freed
-                .wait_timeout(running, POLL)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
+                .wait(running)
+                .unwrap_or_else(PoisonError::into_inner);
         }
+    }
+
+    /// Wakes every parked job once the shutdown flag has flipped, so
+    /// each sees it and gives up its wait. Taking the lock first means
+    /// a job between its flag check and its wait cannot miss this.
+    fn wake_all(&self) {
+        let _running = self.running.lock().unwrap_or_else(PoisonError::into_inner);
+        self.freed.notify_all();
     }
 }
 
@@ -339,44 +440,66 @@ impl Drop for AdmissionPermit<'_> {
     }
 }
 
-/// Pulls connections until the channel closes. Queued connections are
-/// still served after shutdown flips — graceful, not abortive. A
-/// panicking connection handler is counted and contained here — the
-/// worker survives and pulls the next connection, so the pool never
-/// shrinks.
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, ctx: ServerCtx<'_>) {
+/// Pulls jobs until the job queue closes. Queued jobs still run after
+/// shutdown flips — graceful, not abortive. A panicking job is counted
+/// and answered `err` here; the worker survives and pulls the next
+/// job, so the pool never shrinks.
+fn worker_loop(rx: &Mutex<Receiver<SearchJob>>, ctx: ServerCtx<'_>) {
     loop {
         // Holding the lock while blocked in recv() is deliberate: the
-        // channel hands one connection to exactly one worker, and the
-        // others queue on the mutex, which drops the moment a stream
-        // arrives. A poisoned lock (a worker panicked mid-recv) is
-        // still a valid receiver — take it and keep serving.
-        let stream = match rx.lock().unwrap_or_else(PoisonError::into_inner).recv() {
-            Ok(stream) => stream,
+        // channel hands one job to exactly one worker, and the others
+        // queue on the mutex, which drops the moment a job arrives.
+        let job = match rx.lock().unwrap_or_else(PoisonError::into_inner).recv() {
+            Ok(job) => job,
             Err(_) => return,
         };
-        // A broken connection is the client's problem, not the pool's;
-        // same for a panic that escapes the per-request guard.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let _ = handle_connection(stream, ctx);
+        let SearchJob {
+            search,
+            options,
+            stop,
+            answer,
+        } = job;
+        let outcome = catch_unwind(AssertUnwindSafe(|| match &search {
+            Search::Table1(req) => run_table1(req, &options, &stop, ctx),
+            Search::Pareto(req) => run_pareto(req, &options, &stop, ctx),
         }));
-        if outcome.is_err() {
+        let response = outcome.unwrap_or_else(|payload| {
             ctx.panics.fetch_add(1, Ordering::Relaxed);
-        }
+            let what = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_owned())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "unknown panic payload".to_owned());
+            Response::Error(format!("internal panic while serving request: {what}"))
+        });
+        // The reader waits for this unless its peer is long gone; an
+        // answer nobody collects is dropped with the channel.
+        let _ = answer.send(response);
     }
 }
 
-/// Answers `busy` on a connection the pool has no room for.
-fn reject_busy(stream: TcpStream, workers: usize, queue: usize) {
-    // Accepted sockets inherit the listener's non-blocking mode on
-    // some platforms (Windows); normalise, and never block long on a
-    // peer we are rejecting anyway.
+/// Answers `busy` on a connection past the open-connection cap, then
+/// half-closes it and drains what the peer sends for up to
+/// [`BUSY_LINGER`]. Closing at once would make the kernel answer a
+/// request that arrives after the close with a reset, and the client
+/// would read `ECONNRESET` instead of the `busy` line.
+fn reject_busy(stream: TcpStream, cap: usize) {
+    // Accepted sockets inherit the listener's mode on some platforms;
+    // normalise, and never block long on a peer we are rejecting.
     let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let mut w = BufWriter::new(stream);
-    let msg = format!("queue full ({workers} workers busy, queue depth {queue}); retry later");
-    let _ = Response::Busy(msg).write_to(&mut w);
-    let _ = w.flush();
+    let _ = stream.set_write_timeout(Some(BUSY_LINGER));
+    let _ = stream.set_read_timeout(Some(BUSY_LINGER));
+    let msg = format!("connection limit reached ({cap} open connections); retry later");
+    let _ = Response::Busy(msg).write_to(&mut &stream);
+    let _ = stream.shutdown(Shutdown::Write);
+    let until = Instant::now() + BUSY_LINGER;
+    let mut sink = [0u8; 4096];
+    while Instant::now() < until {
+        match (&stream).read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+    }
 }
 
 /// Longest accepted request line, in bytes. Generous for any real
@@ -385,25 +508,31 @@ fn reject_busy(stream: TcpStream, workers: usize, queue: usize) {
 /// server buffer.
 const MAX_LINE: usize = 4 << 20;
 
-/// Serves one connection: request lines in, responses out, in order,
-/// until the peer closes, `shutdown`/`bye` ends the session, or the
-/// server starts draining. Malformed framing (overlong line, not
-/// UTF-8) and a partial line that stalls past
-/// [`ServeConfig::read_timeout`] answer one `err` and close instead
-/// of silently dropping (or pinning a worker forever).
-fn handle_connection(stream: TcpStream, ctx: ServerCtx<'_>) -> std::io::Result<()> {
+/// Serves one connection on its reader thread: request lines in,
+/// responses out, in order, until the peer closes, `shutdown`/`bye`
+/// ends the session, or the server starts draining. Malformed framing
+/// (overlong line, not UTF-8) and a partial line that stalls past
+/// [`ServeConfig::read_timeout`] answer one `err` and close instead of
+/// silently dropping (or pinning the reader forever).
+fn serve_connection(
+    stream: TcpStream,
+    jobs: &SyncSender<SearchJob>,
+    ctx: ServerCtx<'_>,
+) -> std::io::Result<()> {
     // See reject_busy: make the accepted socket's mode explicit
     // before relying on timeout semantics.
     stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(POLL))?;
+    stream.set_read_timeout(Some(READ_TICK))?;
     stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
-    let mut reader = stream.try_clone()?;
-    let mut writer = BufWriter::new(stream.try_clone()?);
-    let mut pending = Vec::new();
+    let mut conn = Conn {
+        stream: stream.try_clone()?,
+        pending: Vec::new(),
+    };
+    let mut writer = BufWriter::new(stream);
     loop {
         let line = match next_line(
-            &mut reader,
-            &mut pending,
+            &mut conn.stream,
+            &mut conn.pending,
             ctx.shutdown,
             ctx.config.read_timeout,
         ) {
@@ -431,7 +560,7 @@ fn handle_connection(stream: TcpStream, ctx: ServerCtx<'_>) -> std::io::Result<(
         if line.is_empty() {
             continue; // stray blank lines are forgiven, not answered
         }
-        let response = respond(line, &stream, ctx);
+        let response = respond(line, &mut conn, jobs, ctx);
         response.write_to(&mut writer)?;
         writer.flush()?;
         if matches!(response, Response::Bye) {
@@ -443,13 +572,13 @@ fn handle_connection(stream: TcpStream, ctx: ServerCtx<'_>) -> std::io::Result<(
 /// Reads one `\n`-terminated line, buffering partial reads across the
 /// read timeout so a slow sender never corrupts framing. Returns
 /// `None` on EOF, or — once shutdown has flipped — on an idle peer,
-/// so draining workers cannot be pinned forever. A line growing past
-/// [`MAX_LINE`] without a newline is `InvalidData`, bounding what one
-/// peer can make the server hold. A *partial* line making no progress
-/// for `read_timeout` is `TimedOut` (`err slow-request` upstream):
-/// an idle peer *between* requests is normal keep-alive and may stay
-/// connected indefinitely, but a peer that goes silent mid-line holds
-/// a worker, so it gets a deadline.
+/// so a draining server is not held open by keep-alive peers. A line
+/// growing past [`MAX_LINE`] without a newline is `InvalidData`,
+/// bounding what one peer can make the server hold. A *partial* line
+/// making no progress for `read_timeout` is `TimedOut`
+/// (`err slow-request` upstream): an idle peer *between* requests is
+/// normal keep-alive and may stay connected indefinitely, but a peer
+/// that goes silent mid-line gets a deadline.
 fn next_line(
     stream: &mut TcpStream,
     pending: &mut Vec<u8>,
@@ -514,13 +643,21 @@ fn next_line(
 
 /// Maps one request line to its response. Never panics: every failure
 /// becomes [`Response::Error`] — a panic inside a search job is
-/// caught by [`serve_job`], counted, and answered as `err` too.
-fn respond(line: &str, stream: &TcpStream, ctx: ServerCtx<'_>) -> Response {
+/// caught by its worker, counted, and answered as `err` too.
+fn respond(
+    line: &str,
+    conn: &mut Conn,
+    jobs: &SyncSender<SearchJob>,
+    ctx: ServerCtx<'_>,
+) -> Response {
     match Request::parse(line) {
         Err(e) => Response::Error(e.to_string()),
         Ok(Request::Ping) => Response::Pong,
         Ok(Request::Shutdown) => {
-            ctx.shutdown.store(true, Ordering::Release);
+            ctx.stop_serving();
+            // Wake the acceptor out of accept(); it sees the flag and
+            // stops. If the connect fails, the next client wakes it.
+            let _ = TcpStream::connect_timeout(&ctx.wake, WRITE_TIMEOUT);
             Response::Bye
         }
         Ok(Request::Stats) => run_stats(ctx),
@@ -532,90 +669,113 @@ fn respond(line: &str, stream: &TcpStream, ctx: ServerCtx<'_>) -> Response {
             }
         }
         Ok(Request::Table1(req)) => {
-            serve_job(stream, req.job, ctx, |cancel| run_table1(&req, ctx, cancel))
+            let options = req.knobs.apply_to(&ctx.config.defaults);
+            conn.submit(req.job, options, Search::Table1(req), jobs, ctx)
         }
         Ok(Request::Pareto(req)) => {
-            serve_job(stream, req.job, ctx, |cancel| run_pareto(&req, ctx, cancel))
+            let options = req.knobs.apply_to(&ctx.config.defaults);
+            conn.submit(req.job, options, Search::Pareto(req), jobs, ctx)
         }
     }
 }
 
-/// Runs one search-driven request with the full robustness envelope:
-/// the job id is claimed in the registry (so `cancel <id>` from
-/// another connection can reach it), a watcher thread flips the same
-/// cancel flag if the client disconnects mid-search, and the job body
-/// runs under `catch_unwind` so a panic answers `err` (and bumps the
-/// `panics` counter) instead of killing the worker.
-fn serve_job<F>(stream: &TcpStream, job: Option<u64>, ctx: ServerCtx<'_>, body: F) -> Response
-where
-    F: FnOnce(&Arc<AtomicBool>) -> Response,
-{
-    let cancel = Arc::new(AtomicBool::new(false));
-    let _claim = match job {
-        Some(id) => match ctx.registry.register(id, cancel.clone()) {
-            Ok(guard) => Some(guard),
-            Err(()) => return Response::Error(format!("job id {id} is already running")),
-        },
-        None => None,
-    };
-    let done = Arc::new(AtomicBool::new(false));
-    // Deliberately detached: the watcher blocks in `peek` for up to
-    // one socket-timeout tick at a time, so joining it here would tax
-    // every answer with that latency. Once `done` flips it exits on
-    // its own within a tick, and a stale watcher is harmless — `peek`
-    // never consumes bytes, and the cancel flag it could still flip
-    // belongs to this already-finished job alone.
-    if let Ok(peer) = stream.try_clone() {
-        let cancel = cancel.clone();
-        let done = done.clone();
-        std::thread::spawn(move || watch_disconnect(&peer, &cancel, &done));
-    }
-    let outcome = catch_unwind(AssertUnwindSafe(|| body(&cancel)));
-    done.store(true, Ordering::Release);
-    match outcome {
-        Ok(response) => response,
-        Err(payload) => {
-            ctx.panics.fetch_add(1, Ordering::Relaxed);
-            let what = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic payload".to_owned());
-            Response::Error(format!("internal panic while serving request: {what}"))
-        }
-    }
+/// A connection's read side: its socket and the bytes read ahead of
+/// the request being served.
+struct Conn {
+    stream: TcpStream,
+    pending: Vec<u8>,
 }
 
-/// Watches a connection whose worker is busy searching: end-of-stream
-/// (or a hard socket error) flips the job's cancel flag, so a client
-/// that gives up and disconnects releases its worker at the next
-/// stop-signal poll instead of burning the rest of the sweep.
-///
-/// The stream is only ever `peek`ed — a pipelined follow-up request
-/// sitting in the socket buffer must stay there for the request loop
-/// to read once the current job answers.
-fn watch_disconnect(peer: &TcpStream, cancel: &AtomicBool, done: &AtomicBool) {
-    let mut probe = [0u8; 1];
-    loop {
-        if done.load(Ordering::Acquire) {
-            return;
+impl Conn {
+    /// Queues one search request as a job and waits for its answer.
+    ///
+    /// The job's stop signal starts here, when the request line has
+    /// arrived: building pipelines, the admission probe, the wait in
+    /// the queue and on the gate, and the artifact prepare all count
+    /// against `deadline-ms`, so the deadline bounds what the client
+    /// waits (the engine's own merge of the same knob can only start
+    /// later, and the earliest deadline wins). The job id is claimed
+    /// now too, so `cancel <id>` reaches a job still in the queue.
+    fn submit(
+        &mut self,
+        id: Option<u64>,
+        options: SearchOptions,
+        search: Search,
+        jobs: &SyncSender<SearchJob>,
+        ctx: ServerCtx<'_>,
+    ) -> Response {
+        let cancel = Arc::new(AtomicBool::new(false));
+        let stop = StopSignal::never()
+            .with_cancel(cancel.clone())
+            .with_deadline_ms(options.deadline_ms);
+        let _claim = match id {
+            Some(id) => match ctx.registry.register(id, cancel.clone()) {
+                Ok(guard) => Some(guard),
+                Err(()) => return Response::Error(format!("job id {id} is already running")),
+            },
+            None => None,
+        };
+        let (answer, answered) = mpsc::sync_channel(1);
+        let job = SearchJob {
+            search,
+            options,
+            stop,
+            answer,
+        };
+        match jobs.try_send(job) {
+            Ok(()) => self.await_answer(&answered, &cancel),
+            Err(TrySendError::Full(_)) => Response::Busy(format!(
+                "queue full ({} workers busy, queue depth {}); retry later",
+                ctx.config.workers.max(1),
+                ctx.config.queue
+            )),
+            Err(TrySendError::Disconnected(_)) => Response::Busy("server shutting down".to_owned()),
         }
-        match peer.peek(&mut probe) {
-            Ok(0) => {
-                cancel.store(true, Ordering::Release);
-                return;
+    }
+
+    /// Waits for a queued job's answer. The answer channel wakes the
+    /// reader the moment the job is done; every [`READ_TICK`] in
+    /// between, the reader moves what the peer has sent into
+    /// `pending` (a pipelined request waits there for its turn), and
+    /// end-of-stream or a socket error flips the job's cancel flag so
+    /// an abandoned search stops at its next stop-signal poll.
+    fn await_answer(&mut self, answered: &Receiver<Response>, cancel: &AtomicBool) -> Response {
+        let lost = || Response::Error("internal error: the job ended without an answer".into());
+        loop {
+            match answered.recv_timeout(READ_TICK) {
+                Ok(response) => return response,
+                Err(RecvTimeoutError::Disconnected) => return lost(),
+                Err(RecvTimeoutError::Timeout) => {}
             }
-            // Bytes waiting (a pipelined request): the peer is alive;
-            // sleep instead of spinning on the instantly-ready peek.
-            Ok(_) => std::thread::sleep(POLL),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => {
+            if !self.read_ahead() {
                 cancel.store(true, Ordering::Release);
-                return;
+                return answered.recv().unwrap_or_else(|_| lost());
             }
         }
+    }
+
+    /// Moves whatever the peer has already sent into `pending` without
+    /// blocking; `false` once the peer has closed or the socket failed.
+    /// Past [`MAX_LINE`] buffered bytes it stops reading and lets TCP
+    /// push back on the peer.
+    fn read_ahead(&mut self) -> bool {
+        if self.stream.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let mut chunk = [0u8; 4096];
+        let alive = loop {
+            if self.pending.len() > MAX_LINE {
+                break true;
+            }
+            match self.stream.read(&mut chunk) {
+                Ok(0) => break false,
+                Ok(n) => self.pending.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break true,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => break false,
+            }
+        };
+        self.stream.set_nonblocking(false).is_ok() && alive
     }
 }
 
@@ -731,25 +891,28 @@ fn admit<'a>(
 
 /// Runs one Table 1 batch through the shared
 /// [`Pipeline::table1_batch_stop`] seam — the same code path as the
-/// `table1` bin, so the service's rows are byte-identical to it. The
-/// request's knob overrides fold over the configured defaults in one
-/// table-driven pass ([`lycos::pace::KnobOverrides::apply_to`]); the
-/// connection's cancel flag rides the [`StopSignal`] into every sweep
-/// (the `deadline-ms` knob merges inside the engine).
-fn run_table1(req: &Table1Request, ctx: ServerCtx<'_>, cancel: &Arc<AtomicBool>) -> Response {
+/// `table1` bin, so the service's rows are byte-identical to it.
+/// `search_options` are the request's knob overrides folded over the
+/// configured defaults ([`lycos::pace::KnobOverrides::apply_to`]); the
+/// job's [`StopSignal`] — cancel flag and request deadline — rides
+/// into every sweep.
+fn run_table1(
+    req: &Table1Request,
+    search_options: &SearchOptions,
+    stop: &StopSignal,
+    ctx: ServerCtx<'_>,
+) -> Response {
     let pipelines = match pipelines_for("table1", &req.jobs, ctx.store, ctx.config.fault_injection)
     {
         Ok(pipelines) => pipelines,
         Err(response) => return response,
     };
-    let search_options = req.knobs.apply_to(&ctx.config.defaults);
-    let _permit = match admit(ctx, &pipelines, &search_options) {
+    let _permit = match admit(ctx, &pipelines, search_options) {
         Ok(permit) => permit,
         Err(response) => return response,
     };
-    let options = Table1Options::from_search_options(&search_options);
-    let stop = StopSignal::never().with_cancel(cancel.clone());
-    match Pipeline::table1_batch_stop(&pipelines, &options, &stop) {
+    let options = Table1Options::from_search_options(search_options);
+    match Pipeline::table1_batch_stop(&pipelines, &options, stop) {
         Err(e) => Response::Error(e.to_string()),
         Ok(rows) => {
             let body = match req.format {
@@ -766,18 +929,21 @@ fn run_table1(req: &Table1Request, ctx: ServerCtx<'_>, cancel: &Arc<AtomicBool>)
 /// [`lycos::Pipeline`] stages (and the same knob merge) as `table1`.
 /// Cancellation or an expired deadline still answers — with the
 /// partial frontier over whatever the sweep had visited.
-fn run_pareto(req: &ParetoRequest, ctx: ServerCtx<'_>, cancel: &Arc<AtomicBool>) -> Response {
+fn run_pareto(
+    req: &ParetoRequest,
+    options: &SearchOptions,
+    stop: &StopSignal,
+    ctx: ServerCtx<'_>,
+) -> Response {
     let pipelines = match pipelines_for("pareto", &req.jobs, ctx.store, ctx.config.fault_injection)
     {
         Ok(pipelines) => pipelines,
         Err(response) => return response,
     };
-    let options = req.knobs.apply_to(&ctx.config.defaults);
-    let _permit = match admit(ctx, &pipelines, &options) {
+    let _permit = match admit(ctx, &pipelines, options) {
         Ok(permit) => permit,
         Err(response) => return response,
     };
-    let stop = StopSignal::never().with_cancel(cancel.clone());
     let mut body = String::new();
     if req.format == Format::Csv {
         body.push_str(PARETO_CSV_HEADER);
@@ -788,7 +954,7 @@ fn run_pareto(req: &ParetoRequest, ctx: ServerCtx<'_>, cancel: &Arc<AtomicBool>)
             Ok(allocated) => allocated,
             Err(e) => return Response::Error(e.to_string()),
         };
-        let front = match allocated.pareto_with_stop(&options, &stop) {
+        let front = match allocated.pareto_with_stop(options, stop) {
             Ok(front) => front,
             Err(e) => return Response::Error(e.to_string()),
         };
@@ -804,4 +970,17 @@ fn run_pareto(req: &ParetoRequest, ctx: ServerCtx<'_>, cancel: &Arc<AtomicBool>)
         }
     }
     Response::Ok(body.lines().map(str::to_owned).collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wake_addr_maps_unspecified_hosts_to_loopback() {
+        let wake = |s: &str| wake_addr(s.parse().expect("socket address")).to_string();
+        assert_eq!(wake("0.0.0.0:7878"), "127.0.0.1:7878");
+        assert_eq!(wake("[::]:7878"), "[::1]:7878");
+        assert_eq!(wake("192.0.2.7:7878"), "192.0.2.7:7878");
+    }
 }

@@ -7,7 +7,9 @@ use lycos::explore::{format_table1_csv, Table1Options};
 use lycos::pace::SearchOptions;
 use lycos::Pipeline;
 use lycos_serve::{Client, Request, Response, ServeConfig, Server};
-use std::time::Duration;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 const CONNECT_DEADLINE: Duration = Duration::from_secs(10);
 
@@ -778,12 +780,65 @@ fn peers_still_sending_cannot_stall_shutdown() {
     handle.join().expect("server thread");
 }
 
-#[test]
-fn full_pool_answers_busy_instead_of_queueing() {
-    // One worker, zero queue slots: the second connection must be
-    // rejected with backpressure status while the first is parked on
-    // the only worker.
-    let (addr, handle) = spawn_server(ServeConfig {
+/// Fills the only worker of a `workers 1, queue 0` server with an
+/// unbounded eigen sweep tagged `job=1`, and returns once that sweep
+/// provably holds the worker. The returned thread yields the sweep's
+/// answer after [`release_the_worker`] cancels it.
+fn occupy_the_only_worker(addr: &str, probe: &mut Client) -> std::thread::JoinHandle<Response> {
+    let hog = {
+        let addr = addr.to_owned();
+        std::thread::spawn(move || {
+            let mut client = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+            // With a zero-depth queue a job is a pure rendezvous: it
+            // bounces `busy` while the worker is not yet (or not again)
+            // waiting for one, or `already running` while a probe
+            // holds the id — retry until the worker takes it.
+            loop {
+                match client
+                    .send_line("table1 app=eigen limit=0 threads=1 timing job=1")
+                    .expect("send")
+                {
+                    Response::Busy(_) => {}
+                    Response::Error(msg) if msg.contains("already running") => {}
+                    other => return other,
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        })
+    };
+    // A job reusing the id answers `already running` while job 1 is
+    // claimed. Seeing that twice, further apart than the hog's retry
+    // pause, rules out catching job 1 mid-bounce: it is running.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut confirmed = 0;
+    while confirmed < 2 {
+        assert!(Instant::now() < deadline, "the sweep never took the worker");
+        match probe.send_line("table1 app=hal job=1").expect("send probe") {
+            Response::Error(msg) if msg.contains("already running") => confirmed += 1,
+            Response::Ok(_) | Response::Busy(_) => confirmed = 0,
+            other => panic!("unexpected probe response {other:?}"),
+        }
+        std::thread::sleep(Duration::from_millis(30));
+    }
+    hog
+}
+
+/// Cancels the sweep [`occupy_the_only_worker`] started; it still
+/// answers, with its best-so-far row marked `cancelled`.
+fn release_the_worker(control: &mut Client, hog: std::thread::JoinHandle<Response>) {
+    match control.send_line("cancel 1").expect("send cancel") {
+        Response::Ok(lines) => assert_eq!(lines, vec!["cancelled 1".to_owned()]),
+        other => panic!("unexpected cancel response {other:?}"),
+    }
+    match hog.join().expect("hog thread") {
+        Response::Ok(lines) => assert_eq!(completion_of(&lines[1]), "cancelled", "{lines:?}"),
+        other => panic!("unexpected response {other:?}"),
+    }
+}
+
+/// A `workers 1, queue 0` server: one running job fills it.
+fn spawn_single_worker_server() -> (String, std::thread::JoinHandle<()>) {
+    spawn_server(ServeConfig {
         workers: 1,
         queue: 0,
         defaults: SearchOptions {
@@ -792,33 +847,150 @@ fn full_pool_answers_busy_instead_of_queueing() {
             ..SearchOptions::default()
         },
         ..ServeConfig::default()
-    });
+    })
+}
 
-    // Occupy the worker: after the pong the worker is parked in this
-    // connection's read loop, not back in the pool. With a zero-depth
-    // queue the hand-off is a pure rendezvous, so the very first
-    // connection can race the worker thread reaching its recv() and
-    // bounce with `busy` — retry until the worker has us.
-    let mut holder = loop {
-        let mut candidate = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
-        match candidate.send(&Request::Ping).expect("send") {
-            Response::Pong => break candidate,
-            Response::Busy(_) => std::thread::sleep(Duration::from_millis(20)),
-            other => panic!("unexpected response {other:?}"),
-        }
-    };
-
+#[test]
+fn full_pool_answers_busy_instead_of_queueing() {
+    // One worker, zero queue slots: while one job runs, a second
+    // connection's job is refused with backpressure status. The
+    // connection itself is not: readers, not workers, answer the
+    // cheap verbs, so its ping still gets `pong`.
+    let (addr, handle) = spawn_single_worker_server();
     let mut second = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
-    match second.send(&Request::Ping) {
+    let hog = occupy_the_only_worker(&addr, &mut second);
+
+    match second.send_line("table1 app=hal") {
         Ok(Response::Busy(msg)) => {
             assert!(msg.contains("queue full"), "{msg}");
             assert!(msg.contains("1 workers"), "{msg}");
         }
         other => panic!("expected busy, got {other:?}"),
     }
+    assert_eq!(second.send(&Request::Ping).expect("send"), Response::Pong);
+
+    release_the_worker(&mut second, hog);
+    assert_eq!(
+        second.send(&Request::Shutdown).expect("send"),
+        Response::Bye
+    );
+    handle.join().expect("server thread");
+}
+
+#[test]
+fn busy_reaches_a_client_whose_request_lags_its_connect() {
+    // A client that connects, waits, and only then sends a job into a
+    // full pool must read the `busy` line, not a reset connection.
+    let (addr, handle) = spawn_single_worker_server();
+    let mut control = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+    let hog = occupy_the_only_worker(&addr, &mut control);
+
+    let late = TcpStream::connect(&addr).expect("connect raw");
+    std::thread::sleep(Duration::from_millis(20));
+    (&late)
+        .write_all(b"table1 app=hal\n")
+        .expect("send the late job");
+    late.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("bound the test read");
+    let mut line = String::new();
+    BufReader::new(&late)
+        .read_line(&mut line)
+        .expect("read the answer, not a reset");
+    let msg = line.strip_prefix("busy ").expect("a busy line");
+    let msg = lycos_serve::protocol::decode(msg.trim_end()).expect("decode");
+    assert!(msg.contains("queue full"), "{msg}");
+
+    release_the_worker(&mut control, hog);
+    assert_eq!(
+        control.send(&Request::Shutdown).expect("send"),
+        Response::Bye
+    );
+    handle.join().expect("server thread");
+}
+
+#[test]
+fn connections_past_the_cap_answer_busy_even_when_the_request_lags() {
+    let (addr, handle) = spawn_single_worker_server();
+    // Fill every connection slot with a live keep-alive peer; each
+    // `pong` proves its connection has a reader.
+    let mut held: Vec<Client> = (0..lycos_serve::CONNECTIONS_PER_WORKER)
+        .map(|_| {
+            let mut client = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+            assert_eq!(client.send(&Request::Ping).expect("send"), Response::Pong);
+            client
+        })
+        .collect();
+
+    // One more connects, waits, then sends: it must read `busy`.
+    let late = TcpStream::connect(&addr).expect("connect raw");
+    std::thread::sleep(Duration::from_millis(20));
+    (&late).write_all(b"ping\n").expect("send the late ping");
+    late.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("bound the test read");
+    let mut line = String::new();
+    BufReader::new(&late)
+        .read_line(&mut line)
+        .expect("read the answer, not a reset");
+    let msg = line.strip_prefix("busy ").expect("a busy line");
+    let msg = lycos_serve::protocol::decode(msg.trim_end()).expect("decode");
+    assert!(msg.contains("connection limit"), "{msg}");
+
+    // A peer that leaves frees its slot for the next client.
+    drop(held.pop());
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        assert!(Instant::now() < deadline, "the freed slot was never reused");
+        let mut client = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+        match client.send(&Request::Ping).expect("send") {
+            Response::Pong => break,
+            Response::Busy(_) => std::thread::sleep(Duration::from_millis(20)),
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
 
     assert_eq!(
-        holder.send(&Request::Shutdown).expect("send"),
+        held[0].send(&Request::Shutdown).expect("send"),
+        Response::Bye
+    );
+    handle.join().expect("server thread");
+}
+
+#[test]
+fn ping_answers_while_idle_connections_are_open() {
+    // Idle keep-alive peers hold no worker: with eight of them open on
+    // a two-worker server, a ping on a fresh connection still answers
+    // at once.
+    let (addr, handle) = spawn_server(ServeConfig {
+        workers: 2,
+        queue: 8,
+        defaults: SearchOptions {
+            threads: 1,
+            limit: Some(10),
+            ..SearchOptions::default()
+        },
+        ..ServeConfig::default()
+    });
+    let idle: Vec<TcpStream> = (0..8)
+        .map(|_| TcpStream::connect(&addr).expect("connect an idle peer"))
+        .collect();
+
+    let started = Instant::now();
+    let fresh = TcpStream::connect(&addr).expect("connect raw");
+    fresh
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("bound the test read");
+    (&fresh).write_all(b"ping\n").expect("send ping");
+    let mut line = String::new();
+    BufReader::new(&fresh)
+        .read_line(&mut line)
+        .expect("pong within 1 s");
+    assert_eq!(line, "pong\n");
+    assert!(started.elapsed() < Duration::from_secs(1));
+
+    drop(idle);
+    let mut client = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+    assert_eq!(
+        client.send(&Request::Shutdown).expect("send"),
         Response::Bye
     );
     handle.join().expect("server thread");
